@@ -36,6 +36,7 @@ from .sweep import (
 )
 
 SEED_ENV_VAR = "HOMOPHILY_LAB_SEED"
+_TABLE_FORMATS = ("csv", "json")
 
 _ROW_TYPES = {"a": SweepRow, "b": SweepRow, "c": SweepRow, "d": SlopeRow, "e": CriticalSizeEstimate}
 
@@ -86,9 +87,20 @@ class _Resolver:
         value = self.get("seed", int)
         if value is None:
             env = os.environ.get(SEED_ENV_VAR)
-            value = int(env) if env else 0
+            try:
+                value = int(env) if env else 0
+            except ValueError:
+                raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
             self.resolved["seed"] = value
         return value
+
+    def table_format(self) -> str:
+        """Output format, checked here because a config file bypasses the
+        flag's choices and the table is written only after the run."""
+        fmt = self.get("format", str, default="csv")
+        if fmt not in _TABLE_FORMATS:
+            raise ValidationError(f"unknown output format {fmt!r}; expected csv or json")
+        return fmt
 
     def echo(self, command: str) -> None:
         print(f"# homophily-lab {command}: resolved configuration", file=sys.stderr)
@@ -118,7 +130,10 @@ def _parse_grid(text: str, cast) -> list:
     single value."""
     text = text.strip()
     if "," in text:
-        return [cast(part) for part in text.split(",") if part.strip()]
+        try:
+            return [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError as err:
+            raise ValidationError(f"bad grid {text!r}: {err}") from err
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -177,7 +192,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     f0 = r.get("f0", float, required=True)
     h00 = r.get("h00", float, required=True)
     h11 = r.get("h11", float, required=True)
-    fmt = r.get("format", str, default="csv")
+    fmt = r.table_format()
     path = r.get("out", str)
     r.echo("analytic")
     _check_flags(n, f0, h00, h11)
@@ -224,7 +239,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     h11 = r.get("h11", float, required=True)
     replicates = r.get("replicates", int, default=100)
     seed = r.seed()
-    fmt = r.get("format", str, default="csv")
+    fmt = r.table_format()
     path = r.get("out", str)
     r.echo("simulate")
     _check_flags(n, f0, h00, h11)
@@ -243,7 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     h11_values = _grid_axis(r, "h11", float)
     replicates = r.get("replicates", int, default=0)
     seed = r.seed()
-    fmt = r.get("format", str, default="csv")
+    fmt = r.table_format()
     path = r.get("out", str)
     r.echo("sweep")
     if replicates == 1:
@@ -263,7 +278,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     h11 = r.get("h11", float, default=0.8)
     replicates = r.get("replicates", int, default=100)
     seed = r.seed()
-    fmt = r.get("format", str, default="csv")
+    fmt = r.table_format()
     path = r.get("out", str, default=f"fig1{panel}.{fmt}")
     n_grid_text = r.get("n-grid", str)
     f0_grid_text = r.get("f0-grid", str)
@@ -289,7 +304,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def _add_io_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
     parser.add_argument("--out", "-o", metavar="PATH", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
+    parser.add_argument("--format", choices=_TABLE_FORMATS, help="table format (default csv)")
 
 
 def _add_params_flags(parser: argparse.ArgumentParser) -> None:
@@ -327,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimates at one parameter point")
     _add_params_flags(p)
     p.add_argument("--seed", type=int)
-    p.add_argument("--replicates", "-r", type=int, help="independent graphs (default 100)")
+    p.add_argument("--replicates", "-r", type=int, help="independent replicates (default 100)")
     _add_io_flags(p)
     p.set_defaults(func=cmd_simulate)
 

@@ -186,6 +186,12 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_capacity(n_total: int, max_nodes: int = DEFAULT_MAX_NODES) -> None:
+    """Raise CapacityError when a network of n_total nodes is too large."""
+    if n_total > max_nodes:
+        raise CapacityError(f"n_total={n_total} exceeds the configured maximum {max_nodes}")
+
+
 def generate(
     spec: GenSpec,
     *,
@@ -199,10 +205,7 @@ def generate(
     to DENSE_MAX_NODES nodes. The paths share one edge distribution.
     """
     params = spec.params
-    if params.n_total > max_nodes:
-        raise CapacityError(
-            f"n_total={params.n_total} exceeds the configured maximum {max_nodes}"
-        )
+    check_capacity(params.n_total, max_nodes)
     if method not in ("auto", "dense", "skip"):
         raise ValidationError(f"unknown sampling method: {method!r}")
     dense = method == "dense" or (method == "auto" and params.n_total <= DENSE_MAX_NODES)

@@ -1,9 +1,18 @@
 """Replicated Monte Carlo estimation of group-degree statistics.
 
-Replicate r of a run regenerates its graph from ``mix_seed(master_seed, r)``,
-a fixed avalanche mix, so any replicate can be recomputed in isolation and
-results never depend on execution order. Estimates are plain sample means
-with standard errors; no variance reduction.
+Every estimator here reads only the two group degree sums s0 = 2*X00 + Xc
+and s1 = 2*X11 + Xc, where X00, X11 and Xc are the edge counts of the
+intra-minority, intra-majority and cross pair classes. Those classes are
+disjoint sets of independent Bernoulli pairs, so the counts are independent
+binomials, and a replicate draws the three counts instead of sampling a
+graph; ``generate`` gives the same distribution and is the reference the
+tests compare against.
+
+Replicate r of a run draws from its own generator seeded with
+``mix_seed(master_seed, r)``, a fixed avalanche mix, so any replicate can be
+recomputed in isolation and results never depend on execution order.
+Estimates are plain sample means with standard errors; no variance
+reduction.
 """
 
 from __future__ import annotations
@@ -12,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphgen import GenSpec, empirical_group_degrees, generate
+from .graphgen import check_capacity
+# unused here, but perfbench/spans.py traces calls through these bindings by name
+from .graphgen import empirical_group_degrees, generate  # noqa: F401
 from .model import ModelParams, ValidationError
 
 _MASK64 = (1 << 64) - 1
@@ -47,6 +58,10 @@ class McConfig:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("replicates", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 1:
             raise ValidationError(f"replicates must be >= 1, got {self.replicates}")
         if not 0 <= self.master_seed < 1 << 64:
@@ -74,13 +89,27 @@ def _estimate(values: np.ndarray) -> McEstimate:
 
 def _replicate_degrees(params: ModelParams, cfg: McConfig) -> np.ndarray:
     """(replicates, 2) array of per-replicate group mean degrees, in
-    replicate order (a fixed-order reduction keeps results deterministic)."""
+    replicate order (a fixed-order reduction keeps results deterministic).
+
+    Replicate r draws X00, X11 and Xc, in that order, from a generator
+    seeded with ``mix_seed(cfg.master_seed, r)``; its row is the exact
+    group degree sums divided by the group sizes, as in
+    :func:`~homophily_lab.graphgen.empirical_group_degrees`.
+    """
     if cfg.replicates < 2:
         raise ValidationError(f"need at least 2 replicates, got {cfg.replicates}")
+    # generate's admission, so Monte Carlo accepts the sizes of the sampler
+    # it stands in for
+    check_capacity(params.n_total)
+    n0 = params.n_minority
+    n1 = params.n_majority
+    pair_counts = (n0 * (n0 - 1) // 2, n1 * (n1 - 1) // 2, n0 * n1)
+    probs = (params.h_intra_minority, params.h_intra_majority, params.p_cross)
     out = np.empty((cfg.replicates, 2), dtype=np.float64)
     for r in range(cfg.replicates):
-        graph = generate(GenSpec(params, mix_seed(cfg.master_seed, r)))
-        out[r] = empirical_group_degrees(graph)
+        rng = np.random.Generator(np.random.PCG64(mix_seed(cfg.master_seed, r)))
+        x00, x11, xc = (int(rng.binomial(m, p)) for m, p in zip(pair_counts, probs))
+        out[r] = ((2 * x00 + xc) / n0, (2 * x11 + xc) / n1)
     return out
 
 

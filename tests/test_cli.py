@@ -22,6 +22,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_monte_carlo(monkeypatch):
+    """Fail the test if any Monte Carlo replicate is seeded."""
+
+    def refuse(*_):
+        raise AssertionError("a Monte Carlo replicate was drawn")
+
+    monkeypatch.setattr("homophily_lab.montecarlo.mix_seed", refuse)
+
+
 # ----------------------------------------------------------------- analytic
 
 
@@ -126,6 +136,16 @@ def test_simulate_requires_two_replicates(capsys):
     assert "replicates" in err
 
 
+def test_simulate_over_capacity_exit_2(capsys, no_monte_carlo):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n", "1000001", "--f0", "0.2", "--h00", "0.5", "--h11", "0.5", "-r", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "n_total=1000001 exceeds the configured maximum" in err
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -165,6 +185,15 @@ def test_sweep_bad_grid(capsys):
     )
     assert code == 2
     assert "step" in err
+
+
+def test_sweep_bad_comma_grid_element(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--n", "100", "--f0", "0.2", "--h00-grid", "0.1,abc", "--h11", "0.5"
+    )
+    assert code == 2
+    assert out == ""
+    assert "abc" in err
 
 
 def test_json_format(capsys):
@@ -222,6 +251,25 @@ def test_env_var_seed_default(capsys, monkeypatch):
         "-r", "10", "--seed", "42",
     )
     assert out_env == out_flag
+
+
+def test_env_var_seed_not_integer(capsys, monkeypatch):
+    monkeypatch.setenv("HOMOPHILY_LAB_SEED", "4x2")
+    code, out, err = run_cli(
+        capsys, "simulate", "--n", "50", "--f0", "0.3", "--h00", "0.6", "--h11", "0.4", "-r", "10"
+    )
+    assert code == 2
+    assert out == ""
+    assert "HOMOPHILY_LAB_SEED must be an integer" in err
+
+
+def test_config_format_rejected_before_run(tmp_path, capsys, no_monte_carlo):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 50\nf0 = 0.3\nh00 = 0.6\nh11 = 0.4\nreplicates = 10\nformat = xml\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "unknown output format 'xml'" in err
 
 
 # ------------------------------------------------------------------- figure

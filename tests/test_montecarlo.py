@@ -2,19 +2,25 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from homophily_lab import (
+    GenSpec,
     McConfig,
     ModelParams,
     ValidationError,
+    empirical_group_degrees,
     gap_slope_integer,
+    generate,
     mc_degree_summary,
     mc_gap,
     mc_gap_slope,
     mc_group_degrees,
     mix_seed,
 )
+from homophily_lab.montecarlo import _replicate_degrees
 
 
 def joint_se(a, b):
@@ -59,8 +65,71 @@ def test_config_validation():
         McConfig(0, 0)
     with pytest.raises(ValidationError):
         McConfig(10, -1)
+    for replicates, master_seed in ((2.5, 0), (True, 0), (10, 1.0), (10, False)):
+        with pytest.raises(ValidationError):
+            McConfig(replicates, master_seed)
     with pytest.raises(ValidationError):
         mc_gap(ModelParams(10, 0.5, 0.5, 0.5), McConfig(1, 0))
+
+
+def test_replicate_prefix_is_reproducible():
+    # replicate r depends on (master_seed, r) only, never on the run length
+    params = ModelParams(300, 0.2, 0.7, 0.4)
+    full = _replicate_degrees(params, McConfig(40, 123))
+    prefix = _replicate_degrees(params, McConfig(10, 123))
+    assert np.array_equal(full[:10], prefix)
+
+
+# ------------------------------------------ equivalence with sampled graphs
+
+
+def degree_sum_moments(params):
+    """Exact mean and variance of the group degree sums (s0, s1).
+
+    An edge of a pair class adds c endpoints to a group's sum (c = 2 for its
+    own intra class, 1 for the cross class), so over the independent
+    binomial class counts E[s] = sum c*m*p and Var(s) = sum c^2*m*p*(1-p).
+    """
+    n0, n1 = params.n_minority, params.n_majority
+    classes = (
+        (n0 * (n0 - 1) // 2, params.h_intra_minority, (2, 0)),
+        (n1 * (n1 - 1) // 2, params.h_intra_majority, (0, 2)),
+        (n0 * n1, params.p_cross, (1, 1)),
+    )
+    mean = [sum(c[g] * m * p for m, p, c in classes) for g in (0, 1)]
+    var = [sum(c[g] ** 2 * m * p * (1.0 - p) for m, p, c in classes) for g in (0, 1)]
+    return mean, var
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(60, 0.3, 1.0, 0.0),  # deterministic intra blocks
+        ModelParams(80, 0.6, 0.3, 0.7),  # f0 >= 0.5
+        ModelParams(40, 0.025, 0.5, 0.6),  # n0 = 1: no intra-minority pairs
+        ModelParams(200, 0.2, 0.8, 0.8),
+    ],
+)
+def test_replicates_match_sampled_graphs_in_distribution(params):
+    replicates = 400
+    counted = _replicate_degrees(params, McConfig(replicates, 2024))
+    # the oracle samples whole graphs under an unrelated master seed
+    sampled = np.array(
+        [
+            empirical_group_degrees(generate(GenSpec(params, mix_seed(4202, r))))
+            for r in range(replicates)
+        ]
+    )
+    sizes = np.array([params.n_minority, params.n_majority])
+    mean, var = degree_sum_moments(params)
+    for degrees in (counted, sampled):
+        sums = np.rint(degrees * sizes)
+        assert np.array_equal(sums / sizes, degrees)  # sums are exact integers
+        for g in (0, 1):
+            se = math.sqrt(var[g] / replicates)
+            assert abs(sums[:, g].mean() - mean[g]) <= 4.0 * se
+    gap_test = stats.ks_2samp(counted[:, 0] - counted[:, 1], sampled[:, 0] - sampled[:, 1])
+    assert gap_test.pvalue > 1e-3
 
 
 # ------------------------------------------------------------- estimators
